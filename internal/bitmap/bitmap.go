@@ -14,7 +14,10 @@ package bitmap
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
+
+	"repro/internal/slab"
 )
 
 // arrayToBitmapThreshold is the container cardinality above which a
@@ -32,10 +35,12 @@ type container struct {
 }
 
 // Bitmap is a set of uint64 values. The zero value is an empty set ready
-// for use.
+// for use. Containers are held by value in a slice parallel to keys —
+// most bitmaps hold a single chunk — so copying one (Clone, CloneMap)
+// costs a few slice copies, not a map rebuild.
 type Bitmap struct {
-	keys []uint64              // sorted high-bits chunk keys
-	cs   map[uint64]*container // chunk key -> container
+	keys []uint64    // sorted high-bits chunk keys
+	cs   []container // cs[i] is the container of chunk keys[i]
 }
 
 // New returns an empty bitmap.
@@ -43,23 +48,34 @@ func New() *Bitmap { return &Bitmap{} }
 
 func split(x uint64) (hi uint64, lo uint16) { return x >> 16, uint16(x & 0xffff) }
 
-func (b *Bitmap) container(hi uint64, create bool) *container {
-	if b.cs == nil {
-		if !create {
-			return nil
+// find returns the position of chunk hi in keys, or where it would be
+// inserted.
+func (b *Bitmap) find(hi uint64) (int, bool) {
+	lo, up := 0, len(b.keys)
+	for lo < up {
+		mid := int(uint(lo+up) >> 1)
+		if b.keys[mid] < hi {
+			lo = mid + 1
+		} else {
+			up = mid
 		}
-		b.cs = make(map[uint64]*container)
 	}
-	c := b.cs[hi]
-	if c == nil && create {
-		c = &container{}
-		b.cs[hi] = c
-		i := sort.Search(len(b.keys), func(i int) bool { return b.keys[i] >= hi })
-		b.keys = append(b.keys, 0)
-		copy(b.keys[i+1:], b.keys[i:])
-		b.keys[i] = hi
+	return lo, lo < len(b.keys) && b.keys[lo] == hi
+}
+
+// container returns chunk hi's container, creating it when asked. The
+// pointer is valid until the next container is created or removed.
+func (b *Bitmap) container(hi uint64, create bool) *container {
+	i, ok := b.find(hi)
+	if ok {
+		return &b.cs[i]
 	}
-	return c
+	if !create {
+		return nil
+	}
+	b.keys = slices.Insert(b.keys, i, hi)
+	b.cs = slices.Insert(b.cs, i, container{})
+	return &b.cs[i]
 }
 
 func (c *container) contains(lo uint16) bool {
@@ -154,10 +170,9 @@ func (b *Bitmap) Remove(x uint64) bool {
 	}
 	ok := c.remove(lo)
 	if ok && c.n == 0 {
-		delete(b.cs, hi)
-		i := sort.Search(len(b.keys), func(i int) bool { return b.keys[i] >= hi })
-		copy(b.keys[i:], b.keys[i+1:])
-		b.keys = b.keys[:len(b.keys)-1]
+		i, _ := b.find(hi)
+		b.keys = slices.Delete(b.keys, i, i+1)
+		b.cs = slices.Delete(b.cs, i, i+1)
 	}
 	return ok
 }
@@ -173,8 +188,8 @@ func (b *Bitmap) Contains(x uint64) bool {
 // operation behind the Sparksee engine's fast counting queries.
 func (b *Bitmap) Len() int {
 	n := 0
-	for _, c := range b.cs {
-		n += c.n
+	for i := range b.cs {
+		n += b.cs[i].n
 	}
 	return n
 }
@@ -185,8 +200,8 @@ func (b *Bitmap) IsEmpty() bool { return b.Len() == 0 }
 // Iterate calls fn on each element in ascending order until fn returns
 // false.
 func (b *Bitmap) Iterate(fn func(x uint64) bool) {
-	for _, hi := range b.keys {
-		c := b.cs[hi]
+	for i, hi := range b.keys {
+		c := &b.cs[i]
 		base := hi << 16
 		if c.words != nil {
 			for wi, w := range c.words {
@@ -266,7 +281,8 @@ func (b *Bitmap) AndLen(o *Bitmap) int {
 // Bytes approximates the memory footprint, for space accounting.
 func (b *Bitmap) Bytes() int64 {
 	var n int64 = 48
-	for _, c := range b.cs {
+	for i := range b.cs {
+		c := &b.cs[i]
 		n += 40
 		if c.words != nil {
 			n += wordsPerContainer * 8
@@ -276,4 +292,66 @@ func (b *Bitmap) Bytes() int64 {
 	}
 	n += int64(len(b.keys)) * 8
 	return n
+}
+
+// Clone returns an independent copy of b.
+func (b *Bitmap) Clone() *Bitmap {
+	d := &Bitmap{}
+	newArena(b).copy(d, b)
+	return d
+}
+
+// CloneMap returns a copy of m whose values are independent copies of
+// m's bitmaps. All the copies share a handful of allocations — their
+// Bitmap headers, chunk keys, containers and sparse arrays — instead
+// of a few per bitmap, which is what makes copying an engine that holds
+// one small bitmap per vertex cheap. Every copied slice keeps its
+// source's capacity (see slab.Slab).
+func CloneMap[K comparable](m map[K]*Bitmap) map[K]*Bitmap {
+	ks := make([]K, 0, len(m))
+	bs := make([]*Bitmap, 0, len(m))
+	for k, b := range m {
+		ks = append(ks, k)
+		bs = append(bs, b)
+	}
+	a := newArena(bs...)
+	ds := make([]Bitmap, len(bs))
+	out := make(map[K]*Bitmap, len(bs))
+	for i, b := range bs {
+		a.copy(&ds[i], b)
+		out[ks[i]] = &ds[i]
+	}
+	return out
+}
+
+// arena holds the slabs the copies of a set of bitmaps are carved from.
+type arena struct {
+	keys *slab.Slab[uint64]
+	cs   *slab.Slab[container]
+	arr  *slab.Slab[uint16]
+}
+
+func newArena(bs ...*Bitmap) arena {
+	var nKeys, nCs, nArr int
+	for _, b := range bs {
+		nKeys += cap(b.keys)
+		nCs += cap(b.cs)
+		for i := range b.cs {
+			nArr += cap(b.cs[i].array)
+		}
+	}
+	return arena{slab.New[uint64](nKeys), slab.New[container](nCs), slab.New[uint16](nArr)}
+}
+
+func (a arena) copy(d, b *Bitmap) {
+	d.keys = a.keys.Copy(b.keys)
+	d.cs = a.cs.Copy(b.cs)
+	for i := range d.cs {
+		c := &d.cs[i]
+		if c.words != nil {
+			c.words = slices.Clone(c.words)
+		} else {
+			c.array = a.arr.Copy(c.array)
+		}
+	}
 }

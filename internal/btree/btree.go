@@ -17,6 +17,8 @@ package btree
 import (
 	"bytes"
 	"fmt"
+
+	"repro/internal/slab"
 )
 
 // degree is the maximum number of children of an internal node. 32 keeps
@@ -295,6 +297,54 @@ func (t *Tree) collapseRoot(path []pathElem) {
 		t.bytes -= 96
 	}
 	_ = path
+}
+
+// Clone returns an independent copy of the tree with the source's exact
+// shape and slice capacities, so its space accounting and every later
+// split, borrow, merge and reallocation match the source's. The node
+// structure is copied; the key and value byte slices are shared,
+// because the tree never writes through them — Put replaces a value
+// slice, it does not modify it. Callers must likewise never modify
+// bytes they passed to Put or got from Get. The leaves and their key
+// and value slots come from two allocations.
+func (t *Tree) Clone() *Tree {
+	c := &Tree{size: t.size, bytes: t.bytes}
+	n, slots := 0, 0
+	for l := t.first; l != nil; l = l.next {
+		n++
+		slots += cap(l.keys) + cap(l.vals)
+	}
+	leaves := make([]leaf, n)
+	sl := slab.New[[]byte](slots)
+	var prev *leaf
+	var clone func(node) node
+	clone = func(n node) node {
+		switch x := n.(type) {
+		case *leaf:
+			l := &leaves[0]
+			leaves = leaves[1:]
+			l.keys, l.vals = sl.Copy(x.keys), sl.Copy(x.vals)
+			if prev == nil {
+				c.first = l
+			} else {
+				prev.next, l.prev = l, prev
+			}
+			prev = l
+			return l
+		case *inner:
+			in := &inner{
+				keys:     slab.Clone(x.keys),
+				children: make([]node, len(x.children), cap(x.children)),
+			}
+			for i, ch := range x.children {
+				in.children[i] = clone(ch)
+			}
+			return in
+		}
+		panic("btree: unknown node type")
+	}
+	c.root = clone(t.root)
+	return c
 }
 
 // Cursor iterates key/value pairs in ascending key order.

@@ -122,6 +122,21 @@ type Engine interface {
 	Close() error
 }
 
+// Cloner is implemented by engines that can copy a loaded instance.
+// Clone returns an independent engine whose state — elements, IDs,
+// indexes, space accounting and read-side counters — equals the
+// receiver's, so a clone of a just-loaded instance answers every
+// query exactly as a fresh BulkLoad of the same graph would. Neither
+// instance observes the other's later writes. A clone may share bytes
+// the engine never writes in place (immutable runs, documents, B+Tree
+// keys); everything mutated in place is copied. An engine that cannot
+// copy a particular instance (e.g. one backed by a write-ahead log)
+// returns ErrUnsupported, and callers fall back to reloading. Clone is
+// a read of the receiver: it must not run concurrently with writes.
+type Cloner interface {
+	Clone() (Engine, error)
+}
+
 // Constructor builds a fresh, empty engine instance. Registered per
 // engine configuration in internal/engines.
 type Constructor func() Engine

@@ -126,6 +126,12 @@ type PlanStatsHolder struct{ stats statsCache }
 // PlanStats returns the captured statistics, or nil.
 func (h *PlanStatsHolder) PlanStats() *PlanStats { return h.stats.Load() }
 
+// CopyPlanStats makes h hold the same statistics as src — the clone
+// path's counterpart of CapturePlanStats.
+func (h *PlanStatsHolder) CopyPlanStats(src *PlanStatsHolder) {
+	h.stats.Store(src.stats.Load())
+}
+
 // CapturePlanStats derives and retains the planner statistics of the
 // bulk-loaded graph. The stats are shared with every other engine
 // loading the same graph — they live on the graph's CSR snapshot.

@@ -30,10 +30,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/slab"
 )
 
 // Engine is an ArangoDB-style document graph store.
@@ -232,6 +235,40 @@ func sortedKeys[V any](m map[core.ID]V) []core.ID {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Clone implements core.Cloner. Documents are shared: every write
+// re-encodes and replaces a document, none is modified in place. The
+// maps are copied, and so are the adjacency lists, which removals edit
+// in place — all of them into one slab (see slab.Slab).
+func (e *Engine) Clone() (core.Engine, error) {
+	c := &Engine{
+		nextID:          e.nextID,
+		vdocs:           maps.Clone(e.vdocs),
+		edocs:           maps.Clone(e.edocs),
+		edgeIdx:         maps.Clone(e.edgeIdx),
+		outIdx:          cloneLists(e.outIdx),
+		inIdx:           cloneLists(e.inIdx),
+		labels:          slices.Clone(e.labels),
+		labelID:         maps.Clone(e.labelID),
+		declaredIndexes: maps.Clone(e.declaredIndexes),
+	}
+	c.CopyPlanStats(&e.PlanStatsHolder)
+	c.restBytes.Store(e.restBytes.Load())
+	return c, nil
+}
+
+func cloneLists(m map[core.ID][]core.ID) map[core.ID][]core.ID {
+	n := 0
+	for _, l := range m {
+		n += cap(l)
+	}
+	ids := slab.New[core.ID](n)
+	out := make(map[core.ID][]core.ID, len(m))
+	for k, l := range m {
+		out[k] = ids.Copy(l)
+	}
 	return out
 }
 

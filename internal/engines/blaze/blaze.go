@@ -28,6 +28,9 @@
 package blaze
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/enc"
@@ -224,6 +227,27 @@ func (e *Engine) firstSP(s, p int64) (int64, bool) {
 	found := false
 	e.forSP(s, p, func(o int64) bool { out, found = o, true; return false })
 	return out, found
+}
+
+// Clone implements core.Cloner: the three statement indexes are copied
+// node for node with shared key bytes (see btree.Tree.Clone), the term
+// dictionary and journal accounting by value.
+func (e *Engine) Clone() (core.Engine, error) {
+	c := &Engine{
+		spo:         e.spo.Clone(),
+		pos:         e.pos.Clone(),
+		osp:         e.osp.Clone(),
+		preds:       maps.Clone(e.preds),
+		predNames:   slices.Clone(e.predNames),
+		lits:        maps.Clone(e.lits),
+		litVals:     slices.Clone(e.litVals),
+		nextV:       e.nextV,
+		nextE:       e.nextE,
+		journalUsed: e.journalUsed,
+		journalCap:  e.journalCap,
+	}
+	c.CopyPlanStats(&e.PlanStatsHolder)
+	return c, nil
 }
 
 // ConcurrentWrites implements core.ConcurrentWriter: the statement

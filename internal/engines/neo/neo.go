@@ -25,7 +25,9 @@ package neo
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/pagefile"
@@ -99,6 +101,10 @@ func (t *tokens) reserve(n int) {
 	t.names = make([]string, 0, n)
 }
 
+func (t *tokens) clone() *tokens {
+	return &tokens{byName: maps.Clone(t.byName), names: slices.Clone(t.names)}
+}
+
 func (t *tokens) get(name string) uint32 {
 	if id, ok := t.byName[name]; ok {
 		return id
@@ -140,6 +146,28 @@ func New(v Version) *Engine {
 		e.groups = pagefile.NewStore(groupRecSize)
 	}
 	return e
+}
+
+// Clone implements core.Cloner: the record stores (rewritten in place)
+// and the string heap are copied with their capacities, the token
+// dictionaries and attribute indexes by value.
+func (e *Engine) Clone() (core.Engine, error) {
+	c := &Engine{
+		version:  e.version,
+		nodes:    e.nodes.Clone(),
+		rels:     e.rels.Clone(),
+		props:    e.props.Clone(),
+		strs:     e.strs.Clone(),
+		labels:   e.labels.clone(),
+		propKeys: e.propKeys.clone(),
+		vindexes: core.CloneVertexIndexes(e.vindexes),
+		closed:   e.closed,
+	}
+	if e.groups != nil {
+		c.groups = e.groups.Clone()
+	}
+	c.CopyPlanStats(&e.PlanStatsHolder)
+	return c, nil
 }
 
 // Meta implements core.Engine.

@@ -11,6 +11,14 @@ func TestConformanceV19(t *testing.T) {
 	enginetest.Run(t, func() core.Engine { return New(V19) })
 }
 
+func TestCloneConformanceV19(t *testing.T) {
+	enginetest.RunClone(t, func() core.Engine { return New(V19) })
+}
+
+func TestCloneConformanceV30(t *testing.T) {
+	enginetest.RunClone(t, func() core.Engine { return New(V30) })
+}
+
 func TestConformanceV30(t *testing.T) {
 	enginetest.Run(t, func() core.Engine { return New(V30) })
 }

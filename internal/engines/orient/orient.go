@@ -18,7 +18,9 @@ package orient
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/pagefile"
@@ -44,6 +46,12 @@ type cluster struct {
 
 func newCluster() *cluster {
 	return &cluster{heap: pagefile.NewHeap(), pmap: pagefile.NewPositionMap()}
+}
+
+// clone copies the cluster's heap and position map (see
+// pagefile.Heap.Clone and PositionMap.Clone).
+func (c *cluster) clone() *cluster {
+	return &cluster{heap: c.heap.Clone(), pmap: c.pmap.Clone()}
 }
 
 func (c *cluster) add(doc []byte) int64 {
@@ -102,6 +110,25 @@ func New() *Engine {
 		propKeys: make(map[string]uint32),
 		vindexes: make(map[string]map[core.Value]map[core.ID]struct{}),
 	}
+}
+
+// Clone implements core.Cloner: every cluster is copied (see
+// cluster.clone), the dictionaries and attribute indexes by value.
+func (e *Engine) Clone() (core.Engine, error) {
+	c := &Engine{
+		vcluster:  e.vcluster.clone(),
+		eclusters: make([]*cluster, len(e.eclusters)),
+		labels:    slices.Clone(e.labels),
+		labelOf:   maps.Clone(e.labelOf),
+		propKeys:  maps.Clone(e.propKeys),
+		keyNames:  slices.Clone(e.keyNames),
+		vindexes:  core.CloneVertexIndexes(e.vindexes),
+	}
+	for i, cl := range e.eclusters {
+		c.eclusters[i] = cl.clone()
+	}
+	c.CopyPlanStats(&e.PlanStatsHolder)
+	return c, nil
 }
 
 // Meta implements core.Engine.

@@ -66,3 +66,20 @@ func TestTable1Metadata(t *testing.T) {
 		e.Close()
 	}
 }
+
+// TestAllEnginesClone: the harness isolates mutating queries by
+// cloning the just-loaded engine, and falls back to a reload for any
+// engine that cannot — so every registered configuration must be a
+// core.Cloner, or the grid silently pays a reload per mutating query.
+func TestAllEnginesClone(t *testing.T) {
+	for _, n := range Names() {
+		e, err := New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := e.(core.Cloner); !ok {
+			t.Errorf("%s does not implement core.Cloner", n)
+		}
+		e.Close()
+	}
+}

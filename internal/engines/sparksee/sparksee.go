@@ -25,9 +25,12 @@
 package sparksee
 
 import (
+	"maps"
+	"slices"
+	"sync/atomic"
+
 	"repro/internal/bitmap"
 	"repro/internal/core"
-	"sync/atomic"
 )
 
 // DefaultMemBudget bounds the bytes the modelled Gremlin adapter may
@@ -43,9 +46,7 @@ type Engine struct {
 	nodes   *bitmap.Bitmap
 	edges   *bitmap.Bitmap
 
-	srcOf   map[uint64]uint64
-	dstOf   map[uint64]uint64
-	labelOf map[uint64]uint32
+	links   map[uint64]link // edge -> endpoints and label
 	byLabel map[uint32]*bitmap.Bitmap
 	labels  []string
 	labelID map[string]uint32
@@ -66,6 +67,13 @@ type Engine struct {
 	retained atomic.Int64
 }
 
+// link is an edge's endpoints and label token, kept in one map entry
+// per edge so writes, removals and copies touch one map, not three.
+type link struct {
+	src, dst uint64
+	label    uint32
+}
+
 // attrStore is the paper's per-attribute structure: a map from OIDs to
 // values plus a bitmap per distinct value.
 type attrStore struct {
@@ -78,6 +86,14 @@ func newAttrStore() *attrStore {
 		vals:  make(map[uint64]core.Value),
 		byVal: make(map[core.Value]*bitmap.Bitmap),
 	}
+}
+
+func cloneAttrs(m map[string]*attrStore) map[string]*attrStore {
+	out := make(map[string]*attrStore, len(m))
+	for name, a := range m {
+		out[name] = &attrStore{vals: maps.Clone(a.vals), byVal: bitmap.CloneMap(a.byVal)}
+	}
+	return out
 }
 
 func (a *attrStore) set(oid uint64, v core.Value) {
@@ -134,9 +150,7 @@ func New(opts ...Option) *Engine {
 	e := &Engine{
 		nodes:           bitmap.New(),
 		edges:           bitmap.New(),
-		srcOf:           make(map[uint64]uint64),
-		dstOf:           make(map[uint64]uint64),
-		labelOf:         make(map[uint64]uint32),
+		links:           make(map[uint64]link),
 		byLabel:         make(map[uint32]*bitmap.Bitmap),
 		labelID:         make(map[string]uint32),
 		out:             make(map[uint64]*bitmap.Bitmap),
@@ -150,6 +164,31 @@ func New(opts ...Option) *Engine {
 		o(e)
 	}
 	return e
+}
+
+// Clone implements core.Cloner: every bitmap is copied — each map of
+// bitmaps in a handful of allocations (see bitmap.CloneMap) — and the
+// link maps, attribute maps, dictionaries and retention accounting by
+// value.
+func (e *Engine) Clone() (core.Engine, error) {
+	c := &Engine{
+		nextOID:         e.nextOID,
+		nodes:           e.nodes.Clone(),
+		edges:           e.edges.Clone(),
+		links:           maps.Clone(e.links),
+		byLabel:         bitmap.CloneMap(e.byLabel),
+		labels:          slices.Clone(e.labels),
+		labelID:         maps.Clone(e.labelID),
+		out:             bitmap.CloneMap(e.out),
+		in:              bitmap.CloneMap(e.in),
+		vattrs:          cloneAttrs(e.vattrs),
+		eattrs:          cloneAttrs(e.eattrs),
+		declaredIndexes: maps.Clone(e.declaredIndexes),
+		memBudget:       e.memBudget,
+	}
+	c.retained.Store(e.retained.Load())
+	c.CopyPlanStats(&e.PlanStatsHolder)
+	return c, nil
 }
 
 // Meta implements core.Engine.
@@ -299,10 +338,8 @@ func (e *Engine) AddEdge(src, dst core.ID, label string, props core.Props) (core
 	oid := e.nextOID
 	e.nextOID++
 	e.edges.Add(oid)
-	e.srcOf[oid] = uint64(src)
-	e.dstOf[oid] = uint64(dst)
 	tok := e.labelTok(label)
-	e.labelOf[oid] = tok
+	e.links[oid] = link{src: uint64(src), dst: uint64(dst), label: tok}
 	e.byLabel[tok].Add(oid)
 	ob := e.out[uint64(src)]
 	if ob == nil {
@@ -332,7 +369,7 @@ func (e *Engine) EdgeLabel(id core.ID) (string, error) {
 	if !e.HasEdge(id) {
 		return "", core.ErrNotFound
 	}
-	return e.labels[e.labelOf[uint64(id)]], nil
+	return e.labels[e.links[uint64(id)].label], nil
 }
 
 // EdgeEnds implements core.Engine.
@@ -340,7 +377,8 @@ func (e *Engine) EdgeEnds(id core.ID) (core.ID, core.ID, error) {
 	if !e.HasEdge(id) {
 		return core.NoID, core.NoID, core.ErrNotFound
 	}
-	return core.ID(e.srcOf[uint64(id)]), core.ID(e.dstOf[uint64(id)]), nil
+	l := e.links[uint64(id)]
+	return core.ID(l.src), core.ID(l.dst), nil
 }
 
 // EdgeProps implements core.Engine.
@@ -399,21 +437,20 @@ func (e *Engine) RemoveEdge(id core.ID) error {
 		return core.ErrNotFound
 	}
 	oid := uint64(id)
-	if b := e.out[e.srcOf[oid]]; b != nil {
+	l := e.links[oid]
+	if b := e.out[l.src]; b != nil {
 		b.Remove(oid)
 	}
-	if b := e.in[e.dstOf[oid]]; b != nil {
+	if b := e.in[l.dst]; b != nil {
 		b.Remove(oid)
 	}
-	if b := e.byLabel[e.labelOf[oid]]; b != nil {
+	if b := e.byLabel[l.label]; b != nil {
 		b.Remove(oid)
 	}
 	for _, a := range e.eattrs {
 		a.remove(oid)
 	}
-	delete(e.srcOf, oid)
-	delete(e.dstOf, oid)
-	delete(e.labelOf, oid)
+	delete(e.links, oid)
 	e.edges.Remove(oid)
 	return nil
 }

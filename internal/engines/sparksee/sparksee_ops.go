@@ -75,7 +75,7 @@ func (e *Engine) EdgesByLabel(label string) core.Iter[core.ID] {
 		return core.EmptyIter[core.ID]()
 	}
 	return core.FilterIter(e.Edges(), func(id core.ID) bool {
-		return e.labelOf[uint64(id)] == tok
+		return e.links[uint64(id)].label == tok
 	})
 }
 
@@ -123,11 +123,11 @@ func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.
 		if !ok {
 			return core.NoID, false
 		}
-		src := core.ID(e.srcOf[uint64(eid)])
-		if src != id {
+		l := e.links[uint64(eid)]
+		if src := core.ID(l.src); src != id {
 			return src, true
 		}
-		return core.ID(e.dstOf[uint64(eid)]), true
+		return core.ID(l.dst), true
 	}
 }
 
@@ -200,16 +200,14 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		VertexIDs: make([]core.ID, g.NumVertices()),
 		EdgeIDs:   make([]core.ID, g.NumEdges()),
 	}
-	// On a fresh engine the per-edge link maps reach exactly |E|
+	// On a fresh engine the per-edge link map reaches exactly |E|
 	// entries and the adjacency-bitmap maps one entry per vertex with
 	// that direction — pre-size them from the CSR snapshot so the
 	// (deliberately per-item, as in the paper) load path at least pays
 	// no incremental map growth.
 	if e.nodes.Len() == 0 && e.edges.Len() == 0 {
 		snap := g.Snapshot()
-		e.srcOf = make(map[uint64]uint64, g.NumEdges())
-		e.dstOf = make(map[uint64]uint64, g.NumEdges())
-		e.labelOf = make(map[uint64]uint32, g.NumEdges())
+		e.links = make(map[uint64]link, g.NumEdges())
 		// The snapshot's label table is exactly the label-bitmap set this
 		// load creates; tokens still assign in first-encounter order.
 		if len(e.labels) == 0 {
@@ -258,7 +256,7 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	for _, l := range e.labels {
 		lb += int64(len(l)) + 24
 	}
-	r.Add("label-bitmaps", lb+int64(len(e.labelOf))*12)
+	r.Add("label-bitmaps", lb+int64(len(e.links))*12)
 	var adj int64
 	for _, b := range e.out {
 		adj += b.Bytes() + 16
@@ -266,7 +264,7 @@ func (e *Engine) SpaceUsage() core.SpaceReport {
 	for _, b := range e.in {
 		adj += b.Bytes() + 16
 	}
-	r.Add("relationship-bitmaps", adj+int64(len(e.srcOf)+len(e.dstOf))*16)
+	r.Add("relationship-bitmaps", adj+int64(2*len(e.links))*16)
 	var at int64
 	for name, a := range e.vattrs {
 		at += int64(len(name)) + a.bytes()

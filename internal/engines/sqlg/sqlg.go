@@ -23,6 +23,8 @@ package sqlg
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -69,6 +71,28 @@ func New() *Engine {
 		labelOf:  make(map[string]int),
 		vindexed: make(map[string]bool),
 	}
+}
+
+// Clone implements core.Cloner: the relational database is copied
+// table by table (see rel.DB.Clone) and the engine's table handles are
+// re-resolved in the copy by name.
+func (e *Engine) Clone() (core.Engine, error) {
+	db := e.db.Clone()
+	c := &Engine{
+		db:         db,
+		vtab:       db.Table(e.vtab.Name()),
+		etabs:      make([]*rel.Table, len(e.etabs)),
+		labelOf:    maps.Clone(e.labelOf),
+		labels:     slices.Clone(e.labels),
+		nextVertex: e.nextVertex,
+		nextEdge:   e.nextEdge,
+		vindexed:   maps.Clone(e.vindexed),
+	}
+	for i, t := range e.etabs {
+		c.etabs[i] = db.Table(t.Name())
+	}
+	c.CopyPlanStats(&e.PlanStatsHolder)
+	return c, nil
 }
 
 // Meta implements core.Engine.

@@ -11,6 +11,10 @@ func TestConformance(t *testing.T) {
 	enginetest.Run(t, func() core.Engine { return New() })
 }
 
+func TestCloneConformance(t *testing.T) {
+	enginetest.RunClone(t, func() core.Engine { return New() })
+}
+
 func TestConcurrencyConformance(t *testing.T) {
 	enginetest.RunConcurrency(t, func() core.Engine { return New() })
 }

@@ -1,6 +1,7 @@
 package titan
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -212,5 +213,21 @@ func TestDurableCrashAudit(t *testing.T) {
 		if err := rec.Close(); err != nil {
 			t.Fatalf("n=%d: close: %v", n, err)
 		}
+	}
+}
+
+// TestDurableCloneUnsupported: a write-ahead-logged engine refuses to
+// be copied, so the harness reloads it instead.
+func TestDurableCloneUnsupported(t *testing.T) {
+	e, _, err := OpenOptions(V10, t.TempDir(), durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.BulkLoad(enginetest.CloneGraph()); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := e.Clone(); !errors.Is(err, core.ErrUnsupported) || c != nil {
+		t.Fatalf("durable Clone = %v, %v; want nil, ErrUnsupported", c, err)
 	}
 }

@@ -25,7 +25,9 @@ package titan
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/enc"
@@ -87,6 +89,33 @@ func New(v Version) *Engine {
 		propID:   make(map[string]uint32),
 		vindexes: make(map[string]map[core.Value]map[core.ID]struct{}),
 	}
+}
+
+// Clone implements core.Cloner for volatile engines: the LSM store is
+// copied sharing its immutable runs (see lsm.Store.Clone), the
+// dictionaries and attribute indexes by value. A durable engine returns
+// core.ErrUnsupported — its store is a write-ahead log on disk, and a
+// copy would either share or silently drop it.
+func (e *Engine) Clone() (core.Engine, error) {
+	if e.kv.Durable() {
+		return nil, core.ErrUnsupported
+	}
+	kv, err := e.kv.Clone()
+	if err != nil {
+		return nil, err
+	}
+	c := &Engine{
+		version:  e.version,
+		kv:       kv,
+		labels:   slices.Clone(e.labels),
+		labelID:  maps.Clone(e.labelID),
+		propKeys: slices.Clone(e.propKeys),
+		propID:   maps.Clone(e.propID),
+		nextID:   e.nextID,
+		vindexes: core.CloneVertexIndexes(e.vindexes),
+	}
+	c.CopyPlanStats(&e.PlanStatsHolder)
+	return c, nil
 }
 
 // Meta implements core.Engine.

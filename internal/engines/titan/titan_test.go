@@ -1,14 +1,24 @@
 package titan
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engines/enginetest"
+	"repro/internal/lsm"
 )
 
 func TestConformanceV05(t *testing.T) {
 	enginetest.Run(t, func() core.Engine { return New(V05) })
+}
+
+func TestCloneConformanceV05(t *testing.T) {
+	enginetest.RunClone(t, func() core.Engine { return New(V05) })
+}
+
+func TestCloneConformanceV10(t *testing.T) {
+	enginetest.RunClone(t, func() core.Engine { return New(V10) })
 }
 
 func TestConformanceV10(t *testing.T) {
@@ -147,4 +157,46 @@ func TestBulkLoadSingleRun(t *testing.T) {
 	if !e.HasVertex(res2.VertexIDs[0]) {
 		t.Fatal("second load lost vertices")
 	}
+}
+
+// newTiny builds a volatile engine whose store flushes after a few
+// hundred bytes of writes and compacts every third run, so writes to a
+// clone flush and compact while the clone still shares its bulk-loaded
+// run with the source.
+func newTiny(v Version) *Engine {
+	e := New(v)
+	opts := lsm.Options{FlushBytes: 256, CompactAt: 3}
+	if v == V10 {
+		opts.CachePrefixLen = rowPrefixLen
+	}
+	e.kv = lsm.New(opts)
+	return e
+}
+
+func TestCloneConformanceTinyFlush(t *testing.T) {
+	for _, v := range []Version{V05, V10} {
+		t.Run(fmt.Sprint("v", v), func(t *testing.T) {
+			enginetest.RunClone(t, func() core.Engine { return newTiny(v) })
+		})
+	}
+}
+
+// TestCloneFlushesAndCompactsOverSharedRuns checks that the clone
+// really flushed and compacted, and that neither touched the source.
+func TestCloneFlushesAndCompactsOverSharedRuns(t *testing.T) {
+	newEngine := func() core.Engine { return newTiny(V10) }
+	fresh, _ := enginetest.LoadClone(t, newEngine)
+	defer fresh.Close()
+	src, res := enginetest.LoadClone(t, newEngine)
+	defer src.Close()
+	c := enginetest.CloneOf(t, src).(*Engine)
+	defer c.Close()
+	enginetest.Mutate(t, c, res)
+	if flushes, compacts, _, _, _ := c.kv.Stats(); flushes == 0 || compacts == 0 {
+		t.Fatalf("clone made %d flushes and %d compactions, want both > 0", flushes, compacts)
+	}
+	if flushes, compacts, runs, _, _ := src.(*Engine).kv.Stats(); flushes != 0 || compacts != 0 || runs != 1 {
+		t.Fatalf("source made %d flushes and %d compactions and holds %d runs", flushes, compacts, runs)
+	}
+	enginetest.SameState(t, "source after clone writes", src, fresh)
 }

@@ -42,9 +42,14 @@ type Config struct {
 	BatchSize int
 	// Seed fixes all random choices.
 	Seed int64
-	// Isolation reloads a fresh engine before every mutating query
-	// (read queries always share the loaded instance, which they do not
-	// modify).
+	// Isolation runs every mutating query on an unperturbed instance:
+	// a clone of a pristine copy taken right after the bulk load,
+	// before any read query (the last mutating query gets the pristine
+	// copy itself). Engines that are not a core.Cloner, or refuse to
+	// clone (a durable titan under LSMDir), reload a fresh engine
+	// instead. Either way the query sees a fresh load's state, so
+	// results are identical. Read queries always share the loaded
+	// instance, which they do not modify.
 	Isolation bool
 	// Workers bounds the number of grid cells — (engine, dataset) micro
 	// cells plus indexed and complex cells — evaluated concurrently.

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -100,20 +101,59 @@ func (pg *ParamGen) DatasetVertexIndex(q *workload.Query, iter int) int {
 	return pg.vertexAt(q.Num, iter, 0)
 }
 
-// vertexAt returns the dataset vertex index for pool slot (q, iter, off).
+// vertexAt returns the dataset vertex index of the iter-th distinct
+// entry of the vertex pool (q, off). datasets.Pick samples with
+// replacement, so a pool can repeat a vertex; a destructive batch that
+// drew the same target twice would fail its second iteration on an
+// already deleted object. Skipping repeats gives every iteration its
+// own target, and leaves pools without repeats exactly as drawn.
 func (pg *ParamGen) vertexAt(qNum, iter, off int) int {
-	i := (qNum*3+off)*paramPoolPerQuery + iter
-	return pg.picks.Vertices[i%len(pg.picks.Vertices)]
+	base := (qNum*3 + off) * paramPoolPerQuery
+	v, _ := nthDistinct(iter, max(paramPoolPerQuery, iter+1), func(slot int) (int, bool) {
+		return pg.picks.Vertices[(base+slot)%len(pg.picks.Vertices)], true
+	})
+	return v
 }
 
+// edgeAt is vertexAt for the edge pool of q.
 func (pg *ParamGen) edgeAt(qNum, iter int) int {
-	i := qNum*paramPoolPerQuery + iter
-	return pg.picks.Edges[i%len(pg.picks.Edges)]
+	base := qNum * paramPoolPerQuery
+	ei, _ := nthDistinct(iter, max(paramPoolPerQuery, iter+1), func(slot int) (int, bool) {
+		return pg.picks.Edges[(base+slot)%len(pg.picks.Edges)], true
+	})
+	return ei
+}
+
+// nthDistinct returns the iter-th distinct value among the accepted
+// values of at(0), ..., at(n-1). If fewer than iter+1 distinct values
+// are accepted, it falls back to the iter-th accepted value, repeats
+// included, and reports false only if there are not that many either.
+func nthDistinct(iter, n int, at func(i int) (int, bool)) (int, bool) {
+	seen := make([]int, 0, iter+1)
+	fallback, accepted, ok := 0, 0, false
+	for i := 0; i < n; i++ {
+		x, acc := at(i)
+		if !acc {
+			continue
+		}
+		if accepted == iter {
+			fallback, ok = x, true
+		}
+		accepted++
+		if slices.Contains(seen, x) {
+			continue
+		}
+		if len(seen) == iter {
+			return x, true
+		}
+		seen = append(seen, x)
+	}
+	return fallback, ok
 }
 
 // For builds the parameters for one execution of q. iter distinguishes
-// batch iterations: destructive queries get disjoint targets per
-// iteration.
+// batch iterations: destructive queries get a distinct target per
+// iteration (the iter-th distinct entry of their pool).
 func (pg *ParamGen) For(q *workload.Query, iter int, res *core.LoadResult) workload.Params {
 	p := workload.Params{
 		Label:        pg.label,
@@ -159,30 +199,21 @@ func (pg *ParamGen) For(q *workload.Query, iter int, res *core.LoadResult) workl
 	return p
 }
 
+// vertexWithProp returns the iter-th distinct picked vertex that has a
+// property (see vertexAt for why distinct).
 func (pg *ParamGen) vertexWithProp(iter int) (int, bool) {
-	seen := 0
-	for _, v := range pg.picks.Vertices {
-		if len(pg.g.VProps[v]) > 0 {
-			if seen == iter {
-				return v, true
-			}
-			seen++
-		}
-	}
-	return 0, false
+	return nthDistinct(iter, len(pg.picks.Vertices), func(i int) (int, bool) {
+		v := pg.picks.Vertices[i]
+		return v, len(pg.g.VProps[v]) > 0
+	})
 }
 
+// edgeWithProp is vertexWithProp over the picked edges.
 func (pg *ParamGen) edgeWithProp(iter int) (int, bool) {
-	seen := 0
-	for _, ei := range pg.picks.Edges {
-		if len(pg.g.EdgeL[ei].Props) > 0 {
-			if seen == iter {
-				return ei, true
-			}
-			seen++
-		}
-	}
-	return 0, false
+	return nthDistinct(iter, len(pg.picks.Edges), func(i int) (int, bool) {
+		ei := pg.picks.Edges[i]
+		return ei, len(pg.g.EdgeL[ei].Props) > 0
+	})
 }
 
 // ComplexFor draws the complex-workload parameters from the ldbc graph.

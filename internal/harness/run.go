@@ -387,19 +387,46 @@ func (r *Runner) runMicro(c *cellResult, engine, dataset string, mode Mode) erro
 		})
 	}
 	pg := NewParamGen(ds.g, r.cfg.Seed)
+	order := queryOrder()
+
+	// Isolation: every mutating query must see an unperturbed instance.
+	// The pristine copy is taken now, before any read runs, so even
+	// read-side state (row caches, retention budgets, planner and REST
+	// counters) is at its fresh-load values; each mutating query gets a
+	// clone of it, and the last one the pristine instance itself.
+	// Engines that cannot clone reload instead.
+	var pristine core.Engine
+	mutating := 0
+	if r.cfg.Isolation {
+		for _, q := range order {
+			if q.Mutates {
+				mutating++
+			}
+		}
+		if cl, ok := e.(core.Cloner); ok {
+			if p, err := cl.Clone(); err == nil {
+				pristine = p
+			}
+		}
+	}
 
 	var firstErr error
-	for _, q := range queryOrder() {
+	for _, q := range order {
 		q := q
 		exec := e
 		execRes := res
-		// Isolation: mutating queries run against a fresh copy so the
-		// shared instance stays pristine.
 		if q.Mutates && r.cfg.Isolation {
-			fresh, freshRes, _, err := r.loadInto(engine, dataset)
+			if e != nil {
+				// queryOrder runs every read first, so the shared
+				// instance is done: release it before the writes'
+				// instances exist, keeping at most two alive.
+				e.Close()
+				e = nil
+			}
+			mutating--
+			fresh, freshRes, err := r.isolated(&pristine, mutating == 0, engine, dataset, res)
 			if err != nil {
-				// The shared instance is intact; only this query's cells
-				// are DNF.
+				// Only this query's cells are DNF.
 				for _, name := range queryCells(&q) {
 					record(dnf(name, err))
 				}
@@ -435,8 +462,34 @@ func (r *Runner) runMicro(c *cellResult, engine, dataset string, mode Mode) erro
 			exec.Close()
 		}
 	}
-	e.Close()
+	if pristine != nil {
+		pristine.Close()
+	}
+	if e != nil {
+		e.Close()
+	}
 	return firstErr
+}
+
+// isolated returns an unperturbed instance for one mutating query: a
+// clone of *pristine, or — for the last mutating query — the pristine
+// instance itself, whose ownership passes to the caller. A clone of a
+// just-loaded instance answers every query exactly as a fresh load
+// would (core.Cloner), with the same element IDs, so the base load's
+// LoadResult still applies. Without a pristine instance, or if cloning
+// fails, it falls back to a fresh load.
+func (r *Runner) isolated(pristine *core.Engine, last bool, engine, dataset string, res *core.LoadResult) (core.Engine, *core.LoadResult, error) {
+	if p := *pristine; p != nil {
+		if last {
+			*pristine = nil
+			return p, res, nil
+		}
+		if c, err := p.(core.Cloner).Clone(); err == nil {
+			return c, res, nil
+		}
+	}
+	e, freshRes, _, err := r.loadInto(engine, dataset)
+	return e, freshRes, err
 }
 
 func depthSuffix(d int) string {

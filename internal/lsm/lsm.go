@@ -13,12 +13,15 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
+	"maps"
 	"sort"
 	"sync"
 
 	"repro/internal/btree"
 	"repro/internal/enc"
 	"repro/internal/lsm/wal"
+	"repro/internal/slab"
 )
 
 // Options configure a Store.
@@ -97,6 +100,37 @@ func New(opts Options) *Store {
 		s.cache = make(map[string][]kv)
 	}
 	return s
+}
+
+// errCloneDurable refuses to copy a write-ahead-logged store: a copy
+// would either share the log or silently drop durability.
+var errCloneDurable = errors.New("lsm: a durable store cannot be cloned")
+
+// Clone returns an independent copy of a volatile store. Runs are
+// immutable once built (flushes and compactions make new ones), so the
+// copy shares them and copies only the runs slice; the memtable tree is
+// copied with shared key/value bytes (see btree.Tree.Clone), and the
+// row cache, whose rows are immutable once published, is copied with
+// its hit and miss counts. Durable stores return an error.
+func (s *Store) Clone() (*Store, error) {
+	if s.durable {
+		return nil, errCloneDurable
+	}
+	c := &Store{
+		opts:     s.opts,
+		mem:      s.mem.Clone(),
+		memBytes: s.memBytes,
+		runs:     slab.Clone(s.runs),
+		flushes:  s.flushes,
+		compacts: s.compacts,
+	}
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	if s.cache != nil {
+		c.cache = maps.Clone(s.cache)
+	}
+	c.hits, c.miss = s.hits, s.miss
+	return c, nil
 }
 
 func (s *Store) invalidate(key []byte) {

@@ -19,6 +19,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+
+	"repro/internal/slab"
 )
 
 // Store is a file of fixed-size records. Record 0 is valid; callers that
@@ -123,6 +125,21 @@ func (s *Store) ScanLive(fn func(id int64) bool) {
 	}
 }
 
+// Clone returns an independent copy of the store. Records are written
+// in place (Record returns a writable view), so the record bytes are
+// copied, as are the slot and freelist bookkeeping — each with its
+// source's capacity, so the copy's next Alloc grows in place exactly
+// when the source's would.
+func (s *Store) Clone() *Store {
+	return &Store{
+		recSize:  s.recSize,
+		buf:      slab.Clone(s.buf),
+		inUse:    slab.Clone(s.inUse),
+		freelist: slab.Clone(s.freelist),
+		live:     s.live,
+	}
+}
+
 // Heap is an append-only variable-size record file. Records are length-
 // prefixed; deleting leaves a hole (dead bytes), as in append-only
 // cluster files. Offsets returned by Append are stable physical
@@ -143,6 +160,13 @@ func (h *Heap) Reserve(n int64) {
 		return
 	}
 	h.buf = slices.Grow(h.buf, int(n))
+}
+
+// Clone returns an independent copy of the heap, with its source's
+// capacity: records are never rewritten, but both heaps append into
+// their spare capacity, so they cannot share one buffer.
+func (h *Heap) Clone() *Heap {
+	return &Heap{buf: slab.Clone(h.buf), dead: h.dead, live: h.live}
 }
 
 // Append writes a record and returns its physical offset.
@@ -214,6 +238,12 @@ func (m *PositionMap) Reserve(n int64) {
 		return
 	}
 	m.phys = slices.Grow(m.phys, int(n))
+}
+
+// Clone returns an independent copy of the map (Move and Free rewrite
+// entries in place, so the entries are copied, with their capacity).
+func (m *PositionMap) Clone() *PositionMap {
+	return &PositionMap{phys: slab.Clone(m.phys), live: m.live}
 }
 
 // Add registers a physical offset and returns the logical position.

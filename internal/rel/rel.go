@@ -12,6 +12,7 @@ package rel
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/enc"
+	"repro/internal/slab"
 )
 
 // Row is one tuple. Column 0 is always the int64 primary key "id".
@@ -87,6 +89,44 @@ func (db *DB) Bytes() int64 {
 		n += t.Bytes()
 	}
 	return n
+}
+
+// Clone returns an independent copy of the database: every table with
+// its rows, primary-key map, indexes and planner counters.
+func (db *DB) Clone() *DB {
+	c := &DB{tables: make(map[string]*Table, len(db.tables)), order: slices.Clone(db.order)}
+	for name, t := range db.tables {
+		c.tables[name] = t.clone()
+	}
+	return c
+}
+
+// clone copies t. Rows are updated in place (Update writes a cell), so
+// every row is copied — into one slab (see slab.Slab). Index trees
+// share their key bytes (see btree.Tree.Clone).
+func (t *Table) clone() *Table {
+	c := &Table{
+		name:    t.name,
+		cols:    slices.Clone(t.cols),
+		colIdx:  maps.Clone(t.colIdx),
+		rows:    make([]Row, len(t.rows), cap(t.rows)),
+		pk:      maps.Clone(t.pk),
+		indexes: make(map[string]*btree.Tree, len(t.indexes)),
+	}
+	n := 0
+	for _, r := range t.rows {
+		n += cap(r)
+	}
+	cells := slab.New[core.Value](n)
+	for i, r := range t.rows {
+		c.rows[i] = cells.Copy(r)
+	}
+	for col, idx := range t.indexes {
+		c.indexes[col] = idx.Clone()
+	}
+	c.scans.Store(t.scans.Load())
+	c.seeks.Store(t.seeks.Load())
+	return c
 }
 
 // Name returns the table name.
