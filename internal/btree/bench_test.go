@@ -35,6 +35,7 @@ func BenchmarkGet(b *testing.B) {
 	for _, k := range keys {
 		tr.Put(k, k)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Get(keys[i%n])
@@ -70,6 +71,7 @@ func BenchmarkPrefixScan(b *testing.B) {
 		tr.Put(k, nil)
 	}
 	prefix := []byte{0, 0, 0}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0

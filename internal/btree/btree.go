@@ -12,6 +12,11 @@
 // architecture: every insertion rebalances eagerly (node splits propagate
 // up immediately), which is why the triple store's per-statement loading
 // is slow unless its bulk path is used (see BulkBuild).
+//
+// Reads do not allocate: Get, Has, Seek, AscendPrefix and AscendRange
+// descend without recording a rebalancing path (only Put and Delete
+// record one), and Seek returns its Cursor by value, so a lookup whose
+// key lives in the caller's stack buffer costs no heap allocation.
 package btree
 
 import (
@@ -72,7 +77,7 @@ func (t *Tree) payload(k, v []byte) int64 { return int64(len(k)+len(v)) + 48 }
 
 // Get returns the value stored under key, or nil and false.
 func (t *Tree) Get(key []byte) ([]byte, bool) {
-	l, _ := t.findLeaf(key)
+	l := t.findLeaf(key, nil)
 	i, ok := l.search(key)
 	if !ok {
 		return nil, false
@@ -112,18 +117,20 @@ func (in *inner) childIndex(key []byte) int {
 	return lo
 }
 
-// findLeaf descends to the leaf that owns key, recording the path of
-// inner nodes and child indexes for rebalancing.
-func (t *Tree) findLeaf(key []byte) (*leaf, []pathElem) {
-	var path []pathElem
+// findLeaf descends to the leaf that owns key. Put and Delete pass a
+// path to record the inner nodes and child indexes they need for
+// rebalancing; reads pass nil and do not allocate.
+func (t *Tree) findLeaf(key []byte, path *[]pathElem) *leaf {
 	n := t.root
 	for {
 		switch x := n.(type) {
 		case *leaf:
-			return x, path
+			return x
 		case *inner:
 			i := x.childIndex(key)
-			path = append(path, pathElem{x, i})
+			if path != nil {
+				*path = append(*path, pathElem{x, i})
+			}
 			n = x.children[i]
 		}
 	}
@@ -137,7 +144,8 @@ type pathElem struct {
 // Put inserts key→value, replacing any existing value. It returns true
 // if the key was new.
 func (t *Tree) Put(key, value []byte) bool {
-	l, path := t.findLeaf(key)
+	var path []pathElem
+	l := t.findLeaf(key, &path)
 	i, ok := l.search(key)
 	if ok {
 		t.bytes += int64(len(value) - len(l.vals[i]))
@@ -220,7 +228,8 @@ func (t *Tree) splitInner(in *inner, path []pathElem) {
 // allowed to become sparse (a common implementation simplification that
 // preserves ordering invariants and amortized performance).
 func (t *Tree) Delete(key []byte) bool {
-	l, path := t.findLeaf(key)
+	var path []pathElem
+	l := t.findLeaf(key, &path)
 	i, ok := l.search(key)
 	if !ok {
 		return false
@@ -287,16 +296,15 @@ func (t *Tree) rebalanceLeaf(l *leaf, path []pathElem) {
 		p.children = removeAt(p.children, idx)
 	}
 	t.bytes -= 96
-	t.collapseRoot(path)
+	t.collapseRoot()
 }
 
 // collapseRoot shrinks the tree height when the root lost all separators.
-func (t *Tree) collapseRoot(path []pathElem) {
+func (t *Tree) collapseRoot() {
 	if r, ok := t.root.(*inner); ok && len(r.children) == 1 {
 		t.root = r.children[0]
 		t.bytes -= 96
 	}
-	_ = path
 }
 
 // Clone returns an independent copy of the tree with the source's exact
@@ -347,7 +355,9 @@ func (t *Tree) Clone() *Tree {
 	return c
 }
 
-// Cursor iterates key/value pairs in ascending key order.
+// Cursor iterates key/value pairs in ascending key order. It is a small
+// value (a leaf and a slot): Seek and Scan return it by value, so a
+// cursor held in a local variable stays off the heap.
 type Cursor struct {
 	l *leaf
 	i int
@@ -367,15 +377,16 @@ func (c *Cursor) Next() (key, value []byte, ok bool) {
 	return k, v, true
 }
 
-// Seek positions a cursor at the first key >= start.
-func (t *Tree) Seek(start []byte) *Cursor {
-	l, _ := t.findLeaf(start)
+// Seek positions a cursor at the first key >= start. The descent does
+// not allocate, and the cursor is returned by value.
+func (t *Tree) Seek(start []byte) Cursor {
+	l := t.findLeaf(start, nil)
 	i, _ := l.search(start)
-	return &Cursor{l: l, i: i}
+	return Cursor{l: l, i: i}
 }
 
 // Scan positions a cursor at the smallest key.
-func (t *Tree) Scan() *Cursor { return &Cursor{l: t.first} }
+func (t *Tree) Scan() Cursor { return Cursor{l: t.first} }
 
 // AscendPrefix calls fn for every pair whose key begins with prefix,
 // in key order, until fn returns false.

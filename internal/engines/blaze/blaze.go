@@ -143,20 +143,19 @@ func (e *Engine) literal(v core.Value) int64 {
 
 func (e *Engine) literalValue(t int64) core.Value { return e.litVals[termSeq(t)] }
 
-func key3(a, b, c int64) []byte {
-	k := make([]byte, 0, 24)
-	k = enc.Int64(k, a)
-	k = enc.Int64(k, b)
-	return enc.Int64(k, c)
+// Statement keys are appended to a caller's buffer. Stored keys get a
+// fresh 24-byte buffer (key3); lookup-only keys are built in a stack
+// array, e.g. var kb [24]byte; appendKey3(kb[:0], s, p, o).
+
+func key3(a, b, c int64) []byte { return appendKey3(make([]byte, 0, 24), a, b, c) }
+
+func appendKey3(k []byte, a, b, c int64) []byte {
+	return enc.Int64(appendKey2(k, a, b), c)
 }
 
-func key2(a, b int64) []byte {
-	k := make([]byte, 0, 16)
-	k = enc.Int64(k, a)
-	return enc.Int64(k, b)
+func appendKey2(k []byte, a, b int64) []byte {
+	return enc.Int64(enc.Int64(k, a), b)
 }
-
-func key1(a int64) []byte { return enc.Int64(nil, a) }
 
 func decode3(k []byte) (a, b, c int64) {
 	a, k = enc.TakeInt64(k)
@@ -180,9 +179,10 @@ func (e *Engine) addStatement(st statement) {
 }
 
 func (e *Engine) removeStatement(st statement) bool {
-	ok := e.spo.Delete(key3(st.s, st.p, st.o))
-	e.pos.Delete(key3(st.p, st.o, st.s))
-	e.osp.Delete(key3(st.o, st.s, st.p))
+	var kb [24]byte
+	ok := e.spo.Delete(appendKey3(kb[:0], st.s, st.p, st.o))
+	e.pos.Delete(appendKey3(kb[:0], st.p, st.o, st.s))
+	e.osp.Delete(appendKey3(kb[:0], st.o, st.s, st.p))
 	// The journal is append-only: deletion writes a retraction record.
 	if ok {
 		e.journalUsed += 25
@@ -194,12 +194,14 @@ func (e *Engine) removeStatement(st statement) bool {
 }
 
 func (e *Engine) hasStatement(st statement) bool {
-	return e.spo.Has(key3(st.s, st.p, st.o))
+	var kb [24]byte
+	return e.spo.Has(appendKey3(kb[:0], st.s, st.p, st.o))
 }
 
 // forSP iterates objects of (s, p, *).
 func (e *Engine) forSP(s, p int64, fn func(o int64) bool) {
-	e.spo.AscendPrefix(key2(s, p), func(k, _ []byte) bool {
+	var kb [16]byte
+	e.spo.AscendPrefix(appendKey2(kb[:0], s, p), func(k, _ []byte) bool {
 		_, _, o := decode3(k)
 		return fn(o)
 	})
@@ -207,7 +209,8 @@ func (e *Engine) forSP(s, p int64, fn func(o int64) bool) {
 
 // forPO iterates subjects of (*, p, o).
 func (e *Engine) forPO(p, o int64, fn func(s int64) bool) {
-	e.pos.AscendPrefix(key2(p, o), func(k, _ []byte) bool {
+	var kb [16]byte
+	e.pos.AscendPrefix(appendKey2(kb[:0], p, o), func(k, _ []byte) bool {
 		_, _, s := decode3(k)
 		return fn(s)
 	})
@@ -215,7 +218,8 @@ func (e *Engine) forPO(p, o int64, fn func(s int64) bool) {
 
 // forS iterates (p, o) pairs of (s, *, *).
 func (e *Engine) forS(s int64, fn func(p, o int64) bool) {
-	e.spo.AscendPrefix(key1(s), func(k, _ []byte) bool {
+	var kb [8]byte
+	e.spo.AscendPrefix(enc.Int64(kb[:0], s), func(k, _ []byte) bool {
 		_, p, o := decode3(k)
 		return fn(p, o)
 	})

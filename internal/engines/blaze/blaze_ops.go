@@ -2,10 +2,12 @@ package blaze
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 
 	"repro/internal/btree"
 	"repro/internal/core"
+	"repro/internal/enc"
 )
 
 // Well-known predicate terms.
@@ -274,7 +276,8 @@ func (e *Engine) CountVertices() (int64, error) {
 // CountEdges implements core.Engine: enumerate reified subjects.
 func (e *Engine) CountEdges() (int64, error) {
 	var n int64
-	e.pos.AscendPrefix(key1(rdfSubject), func(_, _ []byte) bool { n++; return true })
+	var kb [8]byte
+	e.pos.AscendPrefix(enc.Int64(kb[:0], rdfSubject), func(_, _ []byte) bool { n++; return true })
 	return n, nil
 }
 
@@ -291,7 +294,8 @@ func (e *Engine) Vertices() core.Iter[core.ID] {
 // Edges implements core.Engine.
 func (e *Engine) Edges() core.Iter[core.ID] {
 	var out []core.ID
-	e.pos.AscendPrefix(key1(rdfSubject), func(k, _ []byte) bool {
+	var kb [8]byte
+	e.pos.AscendPrefix(enc.Int64(kb[:0], rdfSubject), func(k, _ []byte) bool {
 		_, _, s := decode3(k)
 		out = append(out, core.ID(s))
 		return true
@@ -476,7 +480,7 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 		for i, st := range sts {
 			keys[i] = perm(st)
 		}
-		sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+		slices.SortFunc(keys, bytes.Compare)
 		// Dedupe defensively: BulkBuild requires strictly ascending keys.
 		uniq := keys[:0]
 		for i, k := range keys {

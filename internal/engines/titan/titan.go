@@ -157,29 +157,42 @@ func (e *Engine) propTok(p string) uint32 {
 }
 
 // --- key construction ---
+//
+// Each key has an append form that builds it in a caller's buffer.
+// Lookup-only keys (Get and ScanPrefix arguments on the read paths) are
+// built in a stack array of keyBufLen bytes, so a lookup does not
+// allocate; keys that get written keep their own heap buffers.
+
+// keyBufLen holds a row key, a property key or an adjacency prefix.
+const keyBufLen = rowPrefixLen + 4
 
 func rowKey(tag byte, id core.ID, kind byte) []byte {
-	k := make([]byte, 0, rowPrefixLen)
+	return appendRowKey(make([]byte, 0, rowPrefixLen), tag, id, kind)
+}
+
+func appendRowKey(k []byte, tag byte, id core.ID, kind byte) []byte {
 	k = append(k, tag)
 	k = enc.Uint64(k, uint64(id))
 	return append(k, kind)
 }
 
 func propKey(tag byte, id core.ID, tok uint32) []byte {
-	k := rowKey(tag, id, colProp)
-	return binary.BigEndian.AppendUint32(k, tok)
+	return appendPropKey(make([]byte, 0, rowPrefixLen), tag, id, tok)
 }
 
-func edgeColPrefix(id core.ID, kind byte, tok uint32) []byte {
-	k := rowKey(tagVertexRow, id, kind)
-	return binary.BigEndian.AppendUint32(k, tok)
+func appendPropKey(k []byte, tag byte, id core.ID, tok uint32) []byte {
+	return binary.BigEndian.AppendUint32(appendRowKey(k, tag, id, colProp), tok)
+}
+
+func appendEdgeColPrefix(k []byte, id core.ID, kind byte, tok uint32) []byte {
+	return binary.BigEndian.AppendUint32(appendRowKey(k, tagVertexRow, id, kind), tok)
 }
 
 // edgeColKey encodes the adjacency column: the neighbour is stored as a
 // zigzag varint *delta* from the row's own id — the compact-ID encoding
 // behind Titan's space advantage on high-degree graphs.
 func edgeColKey(id core.ID, kind byte, tok uint32, other core.ID, eid core.ID) []byte {
-	k := edgeColPrefix(id, kind, tok)
+	k := appendEdgeColPrefix(make([]byte, 0, rowPrefixLen), id, kind, tok)
 	k = binary.AppendVarint(k, int64(other)-int64(id))
 	return binary.AppendVarint(k, int64(eid))
 }

@@ -1,6 +1,8 @@
 package titan
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -11,9 +13,10 @@ import (
 // the object's existence precede the write. v1.0 trimmed this path.
 func (e *Engine) checkedWrite(tag byte, id core.ID) {
 	if e.version == V05 {
-		_, _ = e.kv.Get(rowKey(tag, id, colExists))
+		var kb [keyBufLen]byte
+		_, _ = e.kv.Get(appendRowKey(kb[:0], tag, id, colExists))
 		// Duplicate-detection read against the row's property columns.
-		e.kv.ScanPrefix(rowKey(tag, id, colProp), func(_, _ []byte) bool { return false })
+		e.kv.ScanPrefix(appendRowKey(kb[:0], tag, id, colProp), func(_, _ []byte) bool { return false })
 	}
 }
 
@@ -40,7 +43,8 @@ func (e *Engine) HasVertex(id core.ID) bool {
 	if id < 0 {
 		return false
 	}
-	_, ok := e.kv.Get(rowKey(tagVertexRow, id, colExists))
+	var kb [keyBufLen]byte
+	_, ok := e.kv.Get(appendRowKey(kb[:0], tagVertexRow, id, colExists))
 	return ok
 }
 
@@ -54,7 +58,8 @@ func (e *Engine) VertexProps(id core.ID) (core.Props, error) {
 
 func (e *Engine) rowProps(tag byte, id core.ID) core.Props {
 	p := core.Props{}
-	e.kv.ScanPrefix(rowKey(tag, id, colProp), func(k, v []byte) bool {
+	var kb [keyBufLen]byte
+	e.kv.ScanPrefix(appendRowKey(kb[:0], tag, id, colProp), func(k, v []byte) bool {
 		tok := bigEndianU32(k[rowPrefixLen:])
 		p[e.propKeys[tok]] = decodeValue(v)
 		return true
@@ -78,7 +83,8 @@ func (e *Engine) VertexProp(id core.ID, name string) (core.Value, bool) {
 	if !ok {
 		return core.Nil, false
 	}
-	b, ok := e.kv.Get(propKey(tagVertexRow, id, tok))
+	var kb [keyBufLen]byte
+	b, ok := e.kv.Get(appendPropKey(kb[:0], tagVertexRow, id, tok))
 	if !ok {
 		return core.Nil, false
 	}
@@ -188,7 +194,8 @@ func (e *Engine) edgeRow(id core.ID) (src, dst core.ID, tok uint32, ok bool) {
 	if id < 0 {
 		return 0, 0, 0, false
 	}
-	b, ok := e.kv.Get(rowKey(tagEdgeRow, id, colExists))
+	var kb [keyBufLen]byte
+	b, ok := e.kv.Get(appendRowKey(kb[:0], tagEdgeRow, id, colExists))
 	if !ok {
 		return 0, 0, 0, false
 	}
@@ -237,7 +244,8 @@ func (e *Engine) EdgeProp(id core.ID, name string) (core.Value, bool) {
 	if !ok {
 		return core.Nil, false
 	}
-	b, ok := e.kv.Get(propKey(tagEdgeRow, id, tok))
+	var kb [keyBufLen]byte
+	b, ok := e.kv.Get(appendPropKey(kb[:0], tagEdgeRow, id, tok))
 	if !ok {
 		return core.Nil, false
 	}
@@ -359,7 +367,8 @@ func (e *Engine) VerticesByProp(name string, v core.Value) core.Iter[core.ID] {
 	}
 	want := encodeValue(v)
 	return core.FilterIter(e.Vertices(), func(id core.ID) bool {
-		b, ok := e.kv.Get(propKey(tagVertexRow, id, tok))
+		var kb [keyBufLen]byte
+		b, ok := e.kv.Get(appendPropKey(kb[:0], tagVertexRow, id, tok))
 		return ok && string(b) == string(want)
 	})
 }
@@ -372,7 +381,8 @@ func (e *Engine) EdgesByProp(name string, v core.Value) core.Iter[core.ID] {
 	}
 	want := encodeValue(v)
 	return core.FilterIter(e.Edges(), func(id core.ID) bool {
-		b, ok := e.kv.Get(propKey(tagEdgeRow, id, tok))
+		var kb [keyBufLen]byte
+		b, ok := e.kv.Get(appendPropKey(kb[:0], tagEdgeRow, id, tok))
 		return ok && string(b) == string(want)
 	})
 }
@@ -398,27 +408,13 @@ func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) c
 		return core.EmptyIter[core.ID]()
 	}
 	collect := func(kind byte, skipLoops bool) []core.ID {
-		var prefixes [][]byte
-		if len(labels) == 0 {
-			prefixes = [][]byte{rowKey(tagVertexRow, id, kind)}
-		} else {
-			for _, l := range labels {
-				if tok, ok := e.labelID[l]; ok {
-					prefixes = append(prefixes, edgeColPrefix(id, kind, tok))
-				}
-			}
-		}
 		var out []core.ID
-		for _, p := range prefixes {
-			e.kv.ScanPrefix(p, func(k, _ []byte) bool {
-				_, other, eid := parseEdgeCol(id, k)
-				if skipLoops && other == id {
-					return true
-				}
+		e.scanAdjacency(id, kind, labels, func(k []byte) {
+			_, other, eid := parseEdgeCol(id, k)
+			if !skipLoops || other != id {
 				out = append(out, eid)
-				return true
-			})
-		}
+			}
+		})
 		return out
 	}
 	switch d {
@@ -433,6 +429,24 @@ func (e *Engine) IncidentEdges(id core.ID, d core.Direction, labels ...string) c
 	}
 }
 
+// scanAdjacency calls fn for every adjacency column of kind in row id:
+// one scan of the whole kind, or one narrowed scan per known label in
+// labels order (vertex-centric access). The prefixes are lookup-only and
+// live in a stack buffer.
+func (e *Engine) scanAdjacency(id core.ID, kind byte, labels []string, fn func(k []byte)) {
+	visit := func(k, _ []byte) bool { fn(k); return true }
+	var kb [keyBufLen]byte
+	if len(labels) == 0 {
+		e.kv.ScanPrefix(appendRowKey(kb[:0], tagVertexRow, id, kind), visit)
+		return
+	}
+	for _, l := range labels {
+		if tok, ok := e.labelID[l]; ok {
+			e.kv.ScanPrefix(appendEdgeColPrefix(kb[:0], id, kind, tok), visit)
+		}
+	}
+}
+
 // Neighbors implements core.Engine: the neighbour is decoded from the
 // adjacency column itself, no edge-row access needed.
 func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.Iter[core.ID] {
@@ -440,27 +454,13 @@ func (e *Engine) Neighbors(id core.ID, d core.Direction, labels ...string) core.
 		return core.EmptyIter[core.ID]()
 	}
 	collect := func(kind byte, skipLoops bool) []core.ID {
-		var prefixes [][]byte
-		if len(labels) == 0 {
-			prefixes = [][]byte{rowKey(tagVertexRow, id, kind)}
-		} else {
-			for _, l := range labels {
-				if tok, ok := e.labelID[l]; ok {
-					prefixes = append(prefixes, edgeColPrefix(id, kind, tok))
-				}
-			}
-		}
 		var out []core.ID
-		for _, p := range prefixes {
-			e.kv.ScanPrefix(p, func(k, _ []byte) bool {
-				_, other, _ := parseEdgeCol(id, k)
-				if skipLoops && other == id {
-					return true
-				}
+		e.scanAdjacency(id, kind, labels, func(k []byte) {
+			_, other, _ := parseEdgeCol(id, k)
+			if !skipLoops || other != id {
 				out = append(out, other)
-				return true
-			})
-		}
+			}
+		})
 		return out
 	}
 	switch d {
@@ -562,7 +562,9 @@ func (e *Engine) BulkLoad(g *core.Graph) (*core.LoadResult, error) {
 			pairs = append(pairs, kvPair{mk[i], mv[i]})
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return string(pairs[i].k) < string(pairs[j].k) })
+	// Keys are unique (lsm.BulkLoad rejects duplicates), so the unstable
+	// sort yields one deterministic order.
+	slices.SortFunc(pairs, func(a, b kvPair) int { return bytes.Compare(a.k, b.k) })
 	keys := make([][]byte, len(pairs))
 	vals := make([][]byte, len(pairs))
 	for i, p := range pairs {

@@ -440,51 +440,66 @@ func (s *Store) ScanPrefix(prefix []byte, fn func(key, value []byte) bool) {
 	s.scanPrefixMerged(prefix, fn)
 }
 
-func (s *Store) scanPrefixMerged(prefix []byte, fn func(key, value []byte) bool) {
-	// Cursor over memtable + each run, merged newest-wins.
-	type src struct {
-		key, val []byte
-		tomb     bool
-		ok       bool
-		advance  func() ([]byte, []byte, bool, bool)
-	}
-	var srcs []*src // index 0 = memtable (newest), then runs newest→oldest
+// mergeSrc is one source of a merged prefix scan: the memtable cursor
+// (run == nil) or a position in a run. It is a plain value, so a scan
+// keeps its sources in a stack array instead of allocating per source.
+type mergeSrc struct {
+	mem  btree.Cursor
+	run  *sstable
+	i    int
+	key  []byte
+	val  []byte
+	tomb bool
+	ok   bool
+}
 
-	memCursor := s.mem.Seek(prefix)
-	memAdv := func() ([]byte, []byte, bool, bool) {
-		k, v, ok := memCursor.Next()
+// advance loads the source's next pair under prefix, or clears ok.
+func (c *mergeSrc) advance(prefix []byte) {
+	var k, v []byte
+	if c.run == nil {
+		var ok bool
+		k, v, ok = c.mem.Next()
 		if !ok || !bytes.HasPrefix(k, prefix) {
-			return nil, nil, false, false
+			c.ok = false
+			return
 		}
-		val, tomb := decodeMem(v)
-		return k, val, tomb, true
+		c.val, c.tomb = decodeMem(v)
+	} else {
+		if c.i >= len(c.run.keys) || !bytes.HasPrefix(c.run.keys[c.i], prefix) {
+			c.ok = false
+			return
+		}
+		k, v = c.run.keys[c.i], c.run.vals[c.i]
+		c.i++
+		c.val, c.tomb = v, v == nil
 	}
-	srcs = append(srcs, &src{advance: memAdv})
+	c.key, c.ok = k, true
+}
+
+// mergeSrcs is how many sources a scan holds without allocating: the
+// memtable plus the runs a store with the default CompactAt can have.
+const mergeSrcs = 8
+
+func (s *Store) scanPrefixMerged(prefix []byte, fn func(key, value []byte) bool) {
+	// Cursor over memtable + each run, merged newest-wins: index 0 is
+	// the memtable (newest), then runs newest→oldest.
+	var buf [mergeSrcs]mergeSrc
+	srcs := append(buf[:0], mergeSrc{mem: s.mem.Seek(prefix)})
 	for i := len(s.runs) - 1; i >= 0; i-- {
 		t := s.runs[i]
 		pos := sort.Search(len(t.keys), func(j int) bool { return bytes.Compare(t.keys[j], prefix) >= 0 })
-		tt := t
-		p := pos
-		adv := func() ([]byte, []byte, bool, bool) {
-			if p >= len(tt.keys) || !bytes.HasPrefix(tt.keys[p], prefix) {
-				return nil, nil, false, false
-			}
-			k, v := tt.keys[p], tt.vals[p]
-			p++
-			return k, v, v == nil, true
-		}
-		srcs = append(srcs, &src{advance: adv})
+		srcs = append(srcs, mergeSrc{run: t, i: pos})
 	}
-	for _, c := range srcs {
-		c.key, c.val, c.tomb, c.ok = c.advance()
+	for i := range srcs {
+		srcs[i].advance(prefix)
 	}
 	for {
 		best := -1
-		for i, c := range srcs {
-			if !c.ok {
+		for i := range srcs {
+			if !srcs[i].ok {
 				continue
 			}
-			if best < 0 || bytes.Compare(c.key, srcs[best].key) < 0 {
+			if best < 0 || bytes.Compare(srcs[i].key, srcs[best].key) < 0 {
 				best = i
 			}
 		}
@@ -492,9 +507,9 @@ func (s *Store) scanPrefixMerged(prefix []byte, fn func(key, value []byte) bool)
 			return
 		}
 		key, val, tomb := srcs[best].key, srcs[best].val, srcs[best].tomb
-		for _, c := range srcs {
-			for c.ok && bytes.Equal(c.key, key) {
-				c.key, c.val, c.tomb, c.ok = c.advance()
+		for i := range srcs {
+			for srcs[i].ok && bytes.Equal(srcs[i].key, key) {
+				srcs[i].advance(prefix)
 			}
 		}
 		if tomb {

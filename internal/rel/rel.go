@@ -307,7 +307,10 @@ func (t *Table) SelectEq(col string, v core.Value, fn func(Row) bool) error {
 	}
 	if idx := t.indexes[col]; idx != nil {
 		t.seeks.Add(1)
-		prefix := enc.Value(nil, v)
+		// The prefix is lookup-only: built in a stack buffer, which
+		// holds any int, float or bool and strings of up to 29 bytes.
+		var kb [32]byte
+		prefix := enc.Value(kb[:0], v)
 		idx.AscendPrefix(prefix, func(k, _ []byte) bool {
 			posBytes := k[len(prefix):]
 			pos, _ := enc.TakeUint64(posBytes)

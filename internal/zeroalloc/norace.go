@@ -1,0 +1,5 @@
+//go:build !race
+
+package zeroalloc
+
+const raceEnabled = false
